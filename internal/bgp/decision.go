@@ -64,14 +64,43 @@ func effectiveMED(a *PathAttrs) uint32 {
 // groups — the classic MED ordering anomaly — so this two-phase scan is
 // what makes the outcome independent of candidate order.
 func Best(candidates []*Route) *Route {
-	winners := make(map[uint32]*Route)
+	// One winner per neighboring AS. A prefix usually has a handful of
+	// candidates, so a linear scan over a stack buffer beats allocating a
+	// map; the map index takes over only when the groups outgrow it.
+	var buf [8]*Route
+	winners := buf[:0]
+	var index map[uint32]int // first AS -> winners slot
 	for _, r := range candidates {
 		if r == nil {
 			continue
 		}
 		key := r.Attrs.FirstAS()
-		if Better(r, winners[key]) {
-			winners[key] = r
+		k, found := 0, false
+		if index != nil {
+			k, found = index[key]
+		} else {
+			for ; k < len(winners); k++ {
+				if winners[k].Attrs.FirstAS() == key {
+					found = true
+					break
+				}
+			}
+		}
+		if found {
+			if Better(r, winners[k]) {
+				winners[k] = r
+			}
+			continue
+		}
+		winners = append(winners, r)
+		switch {
+		case index != nil:
+			index[key] = len(winners) - 1
+		case len(winners) > len(buf):
+			index = make(map[uint32]int, len(candidates))
+			for i, w := range winners {
+				index[w.Attrs.FirstAS()] = i
+			}
 		}
 	}
 	var best *Route

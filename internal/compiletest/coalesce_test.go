@@ -17,7 +17,8 @@ import (
 // recompilation on both sides, the canonical classifier dumps, installed
 // flow tables, per-participant Loc-RIB views and forwarding outcomes must
 // all be byte-identical: coalescing may drop intermediate churn but never
-// the end state.
+// the end state. Both sides' Loc-RIB views must also equal the route
+// server's naive per-viewer oracle.
 func TestCoalescedBurstMatchesSerial(t *testing.T) {
 	cases := 0
 	for i := 0; i < CorpusSize && cases < 60; i++ {
@@ -69,6 +70,11 @@ func TestCoalescedBurstMatchesSerial(t *testing.T) {
 			}
 			if err := DiffLines("loc-rib", RIBDump(serial.Ctrl), RIBDump(coal.Ctrl)); err != nil {
 				t.Fatal(err)
+			}
+			for _, in := range []*Instance{serial, coal} {
+				if err := CheckLocRIB(in.Ctrl); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := DiffOutcomes("forwarding",
 				Outcomes(serial.Ctrl, 4, 6), Outcomes(coal.Ctrl, 4, 6)); err != nil {

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"sdx/internal/bgp"
 	"sdx/internal/core"
 	"sdx/internal/dataplane"
 	"sdx/internal/iputil"
@@ -157,15 +158,38 @@ func RIBDump(ctrl *core.Controller) []string {
 	rsrv := ctrl.RouteServer()
 	var lines []string
 	for _, as := range rsrv.Participants() {
-		best := rsrv.BestRoutes(as)
-		keys := make([]iputil.Prefix, 0, len(best))
-		for p := range best {
-			keys = append(keys, p)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
-		for _, p := range keys {
-			lines = append(lines, fmt.Sprintf("as%d %s", as, best[p]))
-		}
+		lines = appendView(lines, as, rsrv.BestRoutes(as))
+	}
+	return lines
+}
+
+// OracleRIBDump renders, in RIBDump's format, the Loc-RIBs the route
+// server's naive per-viewer reference pass computes from its Adj-RIB-In:
+// what RIBDump must equal.
+func OracleRIBDump(ctrl *core.Controller) []string {
+	rsrv := ctrl.RouteServer()
+	ref := rsrv.ReferenceLocRIB()
+	var lines []string
+	for _, as := range rsrv.Participants() {
+		lines = appendView(lines, as, ref[as])
+	}
+	return lines
+}
+
+// CheckLocRIB compares the controller's Loc-RIB views with the oracle's.
+func CheckLocRIB(ctrl *core.Controller) error {
+	return DiffLines("loc-rib vs per-viewer oracle", OracleRIBDump(ctrl), RIBDump(ctrl))
+}
+
+// appendView renders one participant's Loc-RIB in prefix order.
+func appendView(lines []string, as uint32, best map[iputil.Prefix]*bgp.Route) []string {
+	keys := make([]iputil.Prefix, 0, len(best))
+	for p := range best {
+		keys = append(keys, p)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
+	for _, p := range keys {
+		lines = append(lines, fmt.Sprintf("as%d %s", as, best[p]))
 	}
 	return lines
 }

@@ -12,7 +12,9 @@ import (
 // fabric rule streams must be byte-identical; cases with BGP bursts also
 // replay the same update trace through both controllers and check the
 // incremental fast-path output, the post-burst recompilation, and the
-// CompileFast-vs-full forwarding semantics.
+// CompileFast-vs-full forwarding semantics. Every participant's Loc-RIB
+// must also equal the route server's naive per-viewer oracle, after the
+// load and after the bursts.
 func TestDifferentialSerialVsParallel(t *testing.T) {
 	for i := 0; i < CorpusSize; i++ {
 		t.Run(fmt.Sprintf("case%03d", i), func(t *testing.T) {
@@ -38,6 +40,9 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 			if err := par.VerifyTables(); err != nil {
 				t.Fatalf("initial compile: %v", err)
 			}
+			if err := CheckLocRIB(par.Ctrl); err != nil {
+				t.Fatalf("after load: %v", err)
+			}
 			if err := par.VerifyEngine(4, 6); err != nil {
 				t.Fatalf("initial compile: engine divergence: %v", err)
 			}
@@ -60,6 +65,9 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := par.VerifyTables(); err != nil {
+				t.Fatalf("after burst replay: %v", err)
+			}
+			if err := CheckLocRIB(par.Ctrl); err != nil {
 				t.Fatalf("after burst replay: %v", err)
 			}
 			if err := par.VerifyEngine(4, 6); err != nil {

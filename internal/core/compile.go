@@ -150,6 +150,7 @@ type CompileOptions struct {
 // compiler performs the §4 pipeline over a participant snapshot.
 type compiler struct {
 	parts map[uint32]*Participant
+	asns  []uint32 // keys of parts, sorted
 	view  RouteView
 	vnhs  *vnhTable
 	opts  CompileOptions
@@ -160,7 +161,7 @@ type compiler struct {
 // plus one synthetic set per remote (port-less) participant.
 func (c *compiler) setOwners() []setOwner {
 	var owners []setOwner
-	for _, as := range sortedASNs(c.parts) {
+	for _, as := range c.asns {
 		p := c.parts[as]
 		for i, t := range p.outbound {
 			if t.Action.ToParticipant == 0 || t.Action.NoBGPCheck {
@@ -169,7 +170,7 @@ func (c *compiler) setOwners() []setOwner {
 			owners = append(owners, setOwner{as: as, term: i, target: t.Action.ToParticipant})
 		}
 	}
-	for _, as := range sortedASNs(c.parts) {
+	for _, as := range c.asns {
 		p := c.parts[as]
 		// Remote participants need their announced prefixes grouped so
 		// the fabric can reach their virtual switch at all; participants
@@ -284,7 +285,7 @@ func ownerIndex(owners []setOwner) map[setOwner]int {
 // false when no participant has outbound terms.
 func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vmacs []pkt.MAC, sets [][]iputil.Prefix) (policy.Policy, bool) {
 	var perParticipant []policy.Policy
-	for _, as := range sortedASNs(c.parts) {
+	for _, as := range c.asns {
 		p := c.parts[as]
 		var terms []policy.Policy
 		for i, t := range p.outbound {
@@ -362,7 +363,7 @@ func (c *compiler) stage1Policy(ownerIdx map[setOwner]int, setGroups [][]int, vm
 // delivery on the primary port (§4.1 transformation 3, receiver side).
 func (c *compiler) stage2Policy() policy.Policy {
 	var perParticipant []policy.Policy
-	for _, as := range sortedASNs(c.parts) {
+	for _, as := range c.asns {
 		perParticipant = append(perParticipant, c.inboundPolicy(c.parts[as]))
 	}
 	// The drop sink preserves explicit stage-1 drops (fwd(PortDrop))
@@ -441,7 +442,7 @@ func (c *compiler) deliverTerm(m pkt.Match, mods pkt.Mods) policy.Policy {
 func (c *compiler) resolveOwner(addr iputil.Addr) *Participant {
 	var best *bgp.Route
 	var bestBits int = -1
-	for _, as := range sortedASNs(c.parts) {
+	for _, as := range c.asns {
 		for _, q := range c.view.ReachablePrefixes(0, as) {
 			if q.Contains(addr) && int(q.Bits()) > bestBits {
 				if r := c.view.GlobalBest(q); r != nil {

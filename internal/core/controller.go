@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -44,7 +45,7 @@ type RouteAd struct {
 // UpdateResult reports what one BGP update did to the SDX (the §6.3
 // incremental metrics).
 type UpdateResult struct {
-	Events          []rs.Event    // best-route changes across participants
+	Changes         []rs.Change   // per-prefix best-route changes across participants
 	AffectedGroups  int           // prefixes that needed fast-path rules
 	AdditionalRules int           // rules pushed into the fast band (Fig 9)
 	Elapsed         time.Duration // fast-path processing time (Fig 10)
@@ -76,6 +77,7 @@ type Controller struct {
 	sw    *dataplane.Switch
 	arpd  *arp.Responder
 	parts map[uint32]*Participant
+	asns  []uint32 // keys of parts, sorted
 	vnhs  *vnhTable
 
 	// pcomp is the persistent parallel policy compiler; its generation-
@@ -297,6 +299,8 @@ func (c *Controller) AddParticipant(cfg ParticipantConfig) (*Participant, error)
 		c.arpd.Register(pp.IP(), pp.MAC())
 	}
 	c.parts[cfg.AS] = p
+	i, _ := slices.BinarySearch(c.asns, cfg.AS)
+	c.asns = slices.Insert(c.asns, i, cfg.AS)
 	c.dirty = true
 	return p, nil
 }
@@ -391,11 +395,9 @@ func (c *Controller) PeerDown(as uint32) {
 // (the established lock order is c.mu before rs.mu, as in ProcessUpdate),
 // which makes the flush atomic with the generation check above.
 func (c *Controller) flushPeerRoutesLocked(as uint32) {
-	events := c.rs.FlushPeer(as)
-	if len(events) == 0 {
-		return
+	if changes := c.rs.FlushPeer(as); len(changes) > 0 {
+		c.handleChangesLocked(changes)
 	}
-	c.handleEventsLocked(events)
 }
 
 // SetPolicy installs a participant's inbound and outbound policy terms,
@@ -525,41 +527,41 @@ func (c *Controller) ApplyBatch(batch ...rs.PeerUpdate) UpdateResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	events := c.rs.Apply(batch)
-	res := c.handleEventsLocked(events)
+	res := c.handleChangesLocked(c.rs.Apply(batch))
 	res.Elapsed = t.Stop()
 	return res
 }
 
-// handleEventsLocked runs the fast incremental path over a batch of
-// best-route changes and re-advertises the affected prefixes.
-func (c *Controller) handleEventsLocked(events []rs.Event) UpdateResult {
-	res := UpdateResult{Events: events}
-	comp := &compiler{parts: c.parts, view: c.rs, vnhs: c.vnhs}
-	c.m.updateEvents.Add(int64(len(events)))
+// handleChangesLocked runs the fast incremental path over a batch of
+// per-prefix best-route changes (sorted by prefix, one record per
+// prefix) and re-advertises the affected prefixes.
+func (c *Controller) handleChangesLocked(changes []rs.Change) UpdateResult {
+	res := UpdateResult{Changes: changes}
+	comp := &compiler{parts: c.parts, asns: c.asns, view: c.rs, vnhs: c.vnhs}
+	c.m.updateEvents.Add(int64(len(changes)))
 
-	seen := make(map[iputil.Prefix]bool)
-	for _, e := range events {
-		if seen[e.Prefix] {
-			continue
-		}
-		seen[e.Prefix] = true
-
-		g, _ := comp.fastGroup(e.Prefix)
-		_, wasGrouped := c.cur.GroupIdx[e.Prefix]
-		_, wasFast := c.fastPrefix[e.Prefix]
+	for i := range changes {
+		ch := &changes[i]
+		g, _ := comp.fastGroup(ch.Prefix)
+		_, wasGrouped := c.cur.GroupIdx[ch.Prefix]
+		_, wasFast := c.fastPrefix[ch.Prefix]
 		if len(g.Sets) == 0 && !wasGrouped && !wasFast {
 			// The prefix interacts with no policy: plain route-server
 			// behaviour, no fabric rules needed.
 			continue
 		}
 
-		fc := comp.CompileFast(e.Prefix)
+		fc := comp.CompileFast(ch.Prefix)
 		idx := uint32(fc.VNHs[0] - VNHSubnet.Addr())
-		c.fastPrefix[e.Prefix] = idx
+		c.fastPrefix[ch.Prefix] = idx
 		c.arpd.Register(fc.VNHs[0], fc.VMACs[0])
 		c.m.fastCompiles.Inc()
-		c.tracer.Emit(telemetry.EventFECChanged, e.Participant, e.Prefix.String(), int64(idx))
+		var viewer uint32 // the first participant whose view changed
+		ch.Each(func(e rs.Event) bool {
+			viewer = e.Participant
+			return false
+		})
+		c.tracer.Emit(telemetry.EventFECChanged, viewer, ch.Prefix.String(), int64(idx))
 
 		entries := dataplane.EntriesFromClassifier(fc.Band1, fastBandBase+2048, cookieFast)
 		entries = append(entries, dataplane.EntriesFromClassifier(fc.Band2, fastBandBase, cookieFast)...)
@@ -573,21 +575,16 @@ func (c *Controller) handleEventsLocked(events []rs.Event) UpdateResult {
 		res.AffectedGroups++
 		res.AdditionalRules += len(entries)
 	}
-	if len(events) > 0 {
-		c.m.dirtySet.Observe(int64(len(seen)))
+	if len(changes) > 0 {
+		c.m.dirtySet.Observe(int64(len(changes)))
+		c.dirty = true
 	}
-	c.dirty = c.dirty || len(events) > 0
 
-	// Re-advertise affected prefixes to every participant, in sorted
+	// Re-advertise affected prefixes to every participant, in prefix
 	// order so advertisement traces and mirror streams are deterministic
 	// across runs.
-	readv := make([]iputil.Prefix, 0, len(seen))
-	for p := range seen {
-		readv = append(readv, p)
-	}
-	sort.Slice(readv, func(i, j int) bool { return readv[i].Compare(readv[j]) < 0 })
-	for _, p := range readv {
-		c.advertisePrefixLocked(p)
+	for i := range changes {
+		c.advertisePrefixLocked(changes[i].Prefix)
 	}
 	return res
 }
@@ -609,6 +606,9 @@ func (c *Controller) RemoveParticipant(as uint32) (UpdateResult, error) {
 	// Deregister before recomputation so fastGroup stops seeing its
 	// policies and synthetic sets.
 	delete(c.parts, as)
+	if i, ok := slices.BinarySearch(c.asns, as); ok {
+		c.asns = slices.Delete(c.asns, i, i+1)
+	}
 	delete(c.sinks, as)
 	if t, ok := c.peerDown[as]; ok {
 		t.Stop()
@@ -620,8 +620,7 @@ func (c *Controller) RemoveParticipant(as uint32) (UpdateResult, error) {
 		delete(c.macToPort, pp.MAC())
 		c.arpd.Unregister(pp.IP())
 	}
-	events := c.rs.RemoveParticipant(as)
-	res := c.handleEventsLocked(events)
+	res := c.handleChangesLocked(c.rs.RemoveParticipant(as))
 	c.dirty = true
 	res.Elapsed = t.Stop()
 	return res, nil
@@ -700,7 +699,7 @@ func (c *Controller) recompile(opts CompileOptions) CompileReport {
 	c.m.fullCompiles.Inc()
 	c.tracer.Emit(telemetry.EventCompileStarted, 0, mode, 0)
 
-	comp := &compiler{parts: c.parts, view: c.rs, vnhs: c.vnhs, opts: opts}
+	comp := &compiler{parts: c.parts, asns: c.asns, view: c.rs, vnhs: c.vnhs, opts: opts}
 	var compiled *Compiled
 	workers := 1
 	if opts.Serial {

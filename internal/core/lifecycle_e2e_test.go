@@ -21,7 +21,7 @@ func TestRemoveParticipant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Events) == 0 {
+	if len(res.Changes) == 0 {
 		t.Fatal("removal should change best routes")
 	}
 	if _, ok := f.ctrl.Participant(asB); ok {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"sdx/internal/iputil"
 	"sdx/internal/pkt"
@@ -186,14 +185,4 @@ func (p *Participant) validateTerm(t Term, inbound bool) error {
 		}
 	}
 	return nil
-}
-
-// sortedASNs returns the keys of a participant map in ascending order.
-func sortedASNs[V any](m map[uint32]V) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for as := range m {
-		out = append(out, as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -56,7 +56,7 @@ func TestBestRoutePerParticipant(t *testing.T) {
 	}
 	// The second announcement changed the best for 100 and 200 but for
 	// 300 the route via 200 stays (its own route is excluded).
-	for _, e := range events {
+	for _, e := range expand(events) {
 		if e.Participant == 300 {
 			t.Fatalf("unexpected event for announcer's own view: %v", e)
 		}
@@ -81,7 +81,7 @@ func TestWithdrawalFallsBack(t *testing.T) {
 		t.Fatalf("after withdrawal best = %v", best)
 	}
 	found := false
-	for _, e := range events {
+	for _, e := range expand(events) {
 		if e.Participant == 100 && e.New != nil && e.New.PeerAS == 300 {
 			found = true
 		}
@@ -308,7 +308,7 @@ func TestApplyBatchMatchesSerial(t *testing.T) {
 	for _, pu := range mkUpdates() {
 		serial.HandleUpdate(pu.From, pu.Update)
 	}
-	events := batched.Apply(mkUpdates())
+	changes := batched.Apply(mkUpdates())
 
 	for as := uint32(100); as < 105; as++ {
 		want, got := serial.BestRoutes(as), batched.BestRoutes(as)
@@ -333,7 +333,14 @@ func TestApplyBatchMatchesSerial(t *testing.T) {
 			serial.UpdatesProcessed(), batched.UpdatesProcessed())
 	}
 
-	// Events from one Apply come back sorted by (prefix, participant).
+	// Changes from one Apply come back one per prefix, sorted, and expand
+	// to events sorted by (prefix, participant).
+	for i := 1; i < len(changes); i++ {
+		if changes[i-1].Prefix.Compare(changes[i].Prefix) >= 0 {
+			t.Fatalf("changes out of order at %d: %v then %v", i, changes[i-1].Prefix, changes[i].Prefix)
+		}
+	}
+	events := expand(changes)
 	for i := 1; i < len(events); i++ {
 		c := events[i-1].Prefix.Compare(events[i].Prefix)
 		if c > 0 || (c == 0 && events[i-1].Participant >= events[i].Participant) {
